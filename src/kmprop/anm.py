@@ -11,7 +11,6 @@ the direction with the smaller score is inferred to be causal.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .embedding import WeightedExpansion, embed_sample, mmd_sq
 from .errors import InputError, NoDistinctPairs, SingularSystem
-from .kernels import GAUSSIAN, KernelSpec, RffMap, median_heuristic, rff_build, rff_feature_matrix
+from .kernels import (GAUSSIAN, KernelSpec, RffMap, derive_seed, median_heuristic, rff_build,
+                      rff_feature_matrix)
 
 _DIRECTION_XY = "x->y"
 _DIRECTION_YX = "y->x"
@@ -140,30 +140,46 @@ def residuals(sample: PairedSample, fit: PolyFit, direction: str) -> np.ndarray:
     raise InputError(f"direction must be 'x->y' or 'y->x', got {direction!r}")
 
 
-def _rff_mean(rmap: RffMap, values: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """Mean feature vector over a 1-d value array, computed in chunks."""
-    total = np.zeros(rmap.feature_dim)
-    n = values.shape[0]
-    for i in range(0, n, chunk):
-        total += rff_feature_matrix(rmap, values[i : i + chunk]).sum(axis=0)
-    return total / n
+def _union_at(effect: np.ndarray, fitted: np.ndarray, resid: np.ndarray,
+              idx: np.ndarray) -> np.ndarray:
+    """Entries ``idx`` of concat(effect, add.outer(fitted, resid).ravel()),
+    computed without building the product grid."""
+    e, r = effect.shape[0], resid.shape[0]
+    out = np.empty(idx.shape[0])
+    in_effect = idx < e
+    out[in_effect] = effect[idx[in_effect]]
+    g = idx[~in_effect] - e
+    out[~in_effect] = fitted[g // r] + resid[g % r]
+    return out
 
 
-def _pick_bandwidth(union: np.ndarray, cap: int, seed: int) -> float:
-    if union.shape[0] > cap:
+def _pick_bandwidth(effect: np.ndarray, fitted: np.ndarray, resid: np.ndarray,
+                    cap: int, seed: int) -> float:
+    total = effect.shape[0] + fitted.shape[0] * resid.shape[0]
+    if total > cap:
         rng = np.random.default_rng([seed, 101])
-        sub = union[rng.choice(union.shape[0], size=cap, replace=False)]
+        idx = rng.choice(total, size=cap, replace=False)
     else:
-        sub = union
+        idx = np.arange(total)
     try:
-        return median_heuristic(sub)
+        return median_heuristic(_union_at(effect, fitted, resid, idx))
     except NoDistinctPairs:
         # The subsample collapsed onto one value; fall back to the
         # distinct values of the full union (capped by striding).
-        uniq = np.unique(union)
+        grid = np.add.outer(np.unique(fitted), np.unique(resid)).ravel()
+        uniq = np.unique(np.concatenate([effect, grid]))
         if uniq.shape[0] > cap:
             uniq = uniq[:: max(1, uniq.shape[0] // cap)]
         return median_heuristic(uniq)
+
+
+def _char_mean(rmap: RffMap, values: np.ndarray) -> np.ndarray:
+    """Mean of exp(i w v) / sqrt(D) over ``values``, one entry per
+    frequency w: the cosine and sine halves of the mean feature vector
+    as real and imaginary parts."""
+    f = rff_feature_matrix(rmap, values).mean(axis=0)
+    D = rmap.n_features
+    return f[:D] + 1j * f[D:]
 
 
 def anm_delta(cause, effect, fit: PolyFit, resid, spec: KernelSpec | None = None,
@@ -173,11 +189,15 @@ def anm_delta(cause, effect, fit: PolyFit, resid, spec: KernelSpec | None = None
     additive-noise reconstruction fit(cause_i) + resid_j.
 
     The reconstruction runs over all (i, j) combinations, so its support
-    has len(cause) * len(resid) points. ``spec=None`` selects a Gaussian
-    bandwidth by the median heuristic over effect and reconstruction
-    points jointly (subsampled to ``bandwidth_points``). ``mode='exact'``
-    evaluates kernel sums pairwise and costs O((m * r)^2); ``mode='rff'``
-    approximates with ``n_rff`` random Fourier features at O(m * r * n_rff).
+    has m * r points for m = len(cause) and r = len(resid). ``spec=None``
+    selects a Gaussian bandwidth by the median heuristic over effect and
+    reconstruction points jointly (subsampled to ``bandwidth_points``).
+    ``mode='exact'`` builds the m * r grid and evaluates kernel sums
+    pairwise, at O((m * r)^2). ``mode='rff'`` approximates with
+    ``n_rff`` random Fourier features and never builds the grid: the
+    reconstruction's terms are independent, so its feature mean is the
+    product of the feature means of the fitted values and of the
+    residuals, and the cost is O((len(effect) + m + r) * n_rff).
     If every effect and reconstruction point coincides the discrepancy
     is exactly zero and is returned without picking a bandwidth.
     """
@@ -190,25 +210,28 @@ def anm_delta(cause, effect, fit: PolyFit, resid, spec: KernelSpec | None = None
         raise InputError(f"mode must be 'exact' or 'rff', got {mode!r}")
 
     fitted = fit.predict(ca)
-    recon = np.add.outer(fitted, ra).ravel()
-    union = np.concatenate([ea, recon])
-    if np.all(union == union[0]):
+    # Rounding is monotone, so the grid's extremes are the sums of the
+    # extremes of its two factors.
+    lo = min(ea.min(), fitted.min() + ra.min())
+    hi = max(ea.max(), fitted.max() + ra.max())
+    if lo == hi:
         return 0.0
 
     if spec is None:
-        spec = KernelSpec.gaussian(_pick_bandwidth(union, bandwidth_points, seed))
+        spec = KernelSpec.gaussian(_pick_bandwidth(ea, fitted, ra, bandwidth_points, seed))
 
     if mode == "exact":
         mu_eff = embed_sample(ea, spec)
-        mu_rec = embed_sample(recon, spec)
+        mu_rec = embed_sample(np.add.outer(fitted, ra).ravel(), spec)
         return mmd_sq(mu_eff, mu_rec)
 
     if spec.kind != GAUSSIAN:
         raise InputError("rff mode needs a gaussian kernel")
     rff_seed = int(np.random.SeedSequence([seed, 202]).generate_state(1)[0])
     rmap = rff_build(spec.sigma, n_rff, 1, rff_seed)
-    d = _rff_mean(rmap, ea) - _rff_mean(rmap, recon)
-    return float(d @ d)
+    recon = math.sqrt(rmap.n_features) * _char_mean(rmap, fitted) * _char_mean(rmap, ra)
+    d = _char_mean(rmap, ea) - recon
+    return float(np.sum(d.real ** 2 + d.imag ** 2))
 
 
 def decide(delta_xy: float, delta_yx: float, abstain_margin: float = 0.0) -> str:
@@ -248,8 +271,7 @@ class AnmReport:
 
 def pair_seed(global_seed: int, pair_id: str) -> int:
     """Stable per-pair seed derived by hashing (unlike Python's salted hash)."""
-    h = hashlib.sha256(f"{global_seed}:{pair_id}".encode()).digest()
-    return int.from_bytes(h[:8], "little")
+    return derive_seed(global_seed, pair_id)
 
 
 def infer_pair(sample: PairedSample, config: AnmConfig = AnmConfig()) -> AnmReport:

@@ -22,7 +22,6 @@ compresses intermediate expansions to a size budget.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .errors import (
     UnexpectedCharacter,
     UnexpectedToken,
 )
-from .kernels import KernelSpec, median_heuristic
+from .kernels import KernelSpec, derive_seed, median_heuristic
 from .propagate import BUILTIN_FUNCTIONS, DEFAULT_SIZE_CAP, apply_nary
 from .reduce import reduce_random
 
@@ -331,14 +330,9 @@ _UNARY_OPS = {"neg": "neg"}
 _BINARY_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
-def _node_seed(seed: int, path: str) -> int:
-    h = hashlib.sha256(f"{seed}:{path}".encode()).digest()
-    return int.from_bytes(h[:8], "little")
-
-
 def _median_spec(points: np.ndarray, policy: EvalPolicy, path: str) -> KernelSpec:
     if points.shape[0] > policy.bandwidth_points:
-        rng = np.random.default_rng(_node_seed(policy.seed, path + ":band"))
+        rng = np.random.default_rng(derive_seed(policy.seed, path + ":band"))
         idx = rng.choice(points.shape[0], size=policy.bandwidth_points, replace=False)
         pts = points[idx]
     else:
@@ -370,7 +364,7 @@ def _apply_node(name: str, children: list[WeightedExpansion],
         res = WeightedExpansion(res.points, res.weights, spec)
     if policy.budget is not None and res.size > policy.budget:
         rr = reduce_random(res, policy.budget, ridge=policy.ridge,
-                           seed=_node_seed(policy.seed, path + ":reduce"),
+                           seed=derive_seed(policy.seed, path + ":reduce"),
                            compute_error=False)
         res = rr.reduced
     return res

@@ -24,9 +24,10 @@ from .errors import (
 )
 from .kernels import KernelSpec, as_points, quad_form
 
-# mmd_sq clamps tiny negative round-off to zero; anything below this
-# floor indicates a real numerical problem and raises instead.
-_MMD_FLOOR = -1e-9
+# mmd_sq clamps negative round-off to zero when it is within this share
+# of |<a,a>| + 2|<a,b>| + |<b,b>|, the size of the terms it cancels;
+# anything lower indicates a real numerical problem and raises instead.
+_MMD_REL_FLOOR = 1e-10
 
 
 class WeightedExpansion:
@@ -104,14 +105,17 @@ def inner(a: WeightedExpansion, b: WeightedExpansion) -> float:
 def mmd_sq(a: WeightedExpansion, b: WeightedExpansion) -> float:
     """Squared RKHS distance ||a - b||^2.
 
-    Round-off can push the exact-zero case slightly negative; values in
-    [-1e-9, 0) are clamped to 0 and anything lower raises
-    :class:`NumericalError`.
+    Round-off can push the exact-zero case slightly negative, by an
+    amount that grows with the three terms being cancelled. Negative
+    values within 1e-10 * (|<a,a>| + 2|<a,b>| + |<b,b>|) are clamped to
+    0 and anything lower raises :class:`NumericalError`.
     """
-    v = inner(a, a) - 2.0 * inner(a, b) + inner(b, b)
+    aa, ab, bb = inner(a, a), inner(a, b), inner(b, b)
+    v = aa - 2.0 * ab + bb
     if v < 0.0:
-        if v < _MMD_FLOOR:
-            raise NumericalError(f"squared MMD came out {v}, below the clamp floor")
+        floor = -_MMD_REL_FLOOR * (abs(aa) + 2.0 * abs(ab) + abs(bb))
+        if v < floor:
+            raise NumericalError(f"squared MMD came out {v}, below the clamp floor {floor}")
         return 0.0
     return v
 

@@ -14,6 +14,7 @@ headers.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -191,8 +192,23 @@ def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
     return _kernel_block(spec, A, B)
 
 
-def _quad_blocks(n: int, m: int) -> int:
-    return max(1, _BLOCK_ELEMS // max(m, 1))
+def kernel_matvec(spec: KernelSpec, A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K(A, B) @ w for point arrays of shape (n, d) and (m, d).
+
+    The kernel matrix is evaluated in tiles of at most ``_BLOCK_ELEMS``
+    entries, so memory stays bounded however large n * m is. Tiles are
+    computed in the dtype of ``A``, ``B`` and ``w``, which must match,
+    and summed into a float64 result.
+    """
+    n, m = A.shape[0], B.shape[0]
+    cols = max(1, min(m, _BLOCK_ELEMS))
+    rows = max(1, _BLOCK_ELEMS // cols)
+    out = np.zeros(n)
+    for i in range(0, n, rows):
+        Ai = A[i : i + rows]
+        for j in range(0, m, cols):
+            out[i : i + rows] += _kernel_block(spec, Ai, B[j : j + cols]) @ w[j : j + cols]
+    return out
 
 
 def quad_form(spec: KernelSpec, X, wx, Y=None, wy=None, dtype=np.float64) -> float:
@@ -233,7 +249,7 @@ def quad_form(spec: KernelSpec, X, wx, Y=None, wy=None, dtype=np.float64) -> flo
         B = np.ascontiguousarray(Yp, dtype=dt)
         wb = wya.astype(dt, copy=False)
 
-    n, m = A.shape[0], B.shape[0]
+    n = A.shape[0]
     total = 0.0
     if symmetric:
         step = int(math.sqrt(_BLOCK_ELEMS))
@@ -245,11 +261,7 @@ def quad_form(spec: KernelSpec, X, wx, Y=None, wy=None, dtype=np.float64) -> flo
                 s = float(wi @ (K @ wb[j : j + step]))
                 total += s if i == j else 2.0 * s
         return total
-    rows = _quad_blocks(n, m)
-    for i in range(0, n, rows):
-        K = _kernel_block(spec, A[i : i + rows], B)
-        total += float(wa[i : i + rows] @ (K @ wb))
-    return total
+    return float(wa @ kernel_matvec(spec, A, B, wb))
 
 
 def median_heuristic(points) -> float:
@@ -272,6 +284,14 @@ def median_heuristic(points) -> float:
     if not math.isfinite(out) or out <= 0.0:
         raise DegenerateBandwidth(f"median pairwise distance is {out!r}")
     return out
+
+
+def derive_seed(seed: int, label: str) -> int:
+    """Stable 64-bit seed for a labelled stream, derived from ``seed`` by
+    hashing (unlike Python's salted ``hash``), so it is the same in
+    every process."""
+    h = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(h[:8], "little")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .embedding import WeightedExpansion, mmd_sq
 from .errors import InputError, SingularSystem
-from .kernels import gram, quad_form
+from .kernels import gram, kernel_matvec, quad_form
 
 # Default ridge scale, multiplied by mean Gram diagonal (trace/target).
 _RIDGE_SCALE = 1e-8
@@ -69,7 +69,7 @@ def reduce_random(mu: WeightedExpansion, target: int,
     Z = mu.points[kept]
 
     K = gram(mu.spec, Z)
-    b = gram(mu.spec, Z, mu.points) @ mu.weights
+    b = kernel_matvec(mu.spec, Z, mu.points, mu.weights)
     if ridge is None:
         ridge = _RIDGE_SCALE * float(np.trace(K)) / target
     A = K if ridge == 0.0 else K + ridge * np.eye(target)

@@ -72,3 +72,21 @@ def expected_error_sq_uniform_pinned(weights, a, s, sigma) -> float:
     al = np.asarray(weights, float)
     c = expect_k_normal_normal(a, s, sigma)
     return (1.0 - al.sum()) ** 2 * c + float(al @ al) * (1.0 - c)
+
+
+def rff_grid_score(effect, fitted, resid, freqs) -> float:
+    """Squared distance between the mean random-feature vectors of
+    ``effect`` and of the explicit grid fitted_i + resid_j.
+
+    Features are [cos(w v), sin(w v)] / sqrt(D) for the D frequencies
+    ``freqs``; the grid is built point by point.
+    """
+    w = np.asarray(freqs, float).reshape(-1)
+
+    def mean_features(values):
+        z = np.outer(np.asarray(values, float), w)
+        return np.concatenate([np.cos(z).mean(axis=0), np.sin(z).mean(axis=0)]) / math.sqrt(w.size)
+
+    grid = [f + u for f in fitted for u in resid]
+    d = mean_features(effect) - mean_features(grid)
+    return float(d @ d)

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kmprop import (
     AnmConfig,
@@ -10,11 +15,20 @@ from kmprop import (
     accuracy_curve,
     anm_delta,
     infer_pair,
+    median_heuristic,
     polyfit,
     residuals,
+    rff_build,
 )
+from kmprop import anm
 from kmprop.anm import decide, forced_decision, pair_seed
 from kmprop.errors import InputError, SingularSystem
+
+from oracles import rff_grid_score
+
+# predict(x) == x exactly, so the fitted values are the cause values.
+IDENTITY = PolyFit(coefficients=np.array([0.0, 1.0]), input_mean=0.0, input_scale=1.0,
+                   output_mean=0.0, output_scale=1.0)
 
 
 def cubic_pair(seed, m, noise=0.1):
@@ -161,6 +175,74 @@ class TestAnmDelta:
             anm_delta(x, y, f, u, mode="sketch")
         with pytest.raises(InputError):
             anm_delta([], [], f, [])
+
+
+def rff_map(sigma, n_rff, seed):
+    """The feature map anm_delta draws for ``seed``."""
+    rff_seed = int(np.random.SeedSequence([seed, 202]).generate_state(1)[0])
+    return rff_build(sigma, n_rff, 1, rff_seed)
+
+
+def _values(max_size):
+    return hnp.arrays(np.float64, st.integers(1, max_size), elements=st.floats(-3.0, 3.0))
+
+
+_OUTLIERS = st.lists(st.floats(10.0, 50.0) | st.floats(-50.0, -10.0), max_size=2)
+
+
+class TestRffFactorization:
+    @settings(deadline=None, max_examples=60)
+    @given(effect=_values(25), fitted=_values(20), resid=_values(20),
+           fitted_out=_OUTLIERS, resid_out=_OUTLIERS, n_rff=st.integers(1, 64),
+           sigma=st.floats(0.5, 5.0), seed=st.integers(0, 2 ** 64 - 1))
+    def test_matches_grid_oracle(self, effect, fitted, resid, fitted_out, resid_out,
+                                 n_rff, sigma, seed):
+        fitted = np.concatenate([fitted, fitted_out])
+        resid = np.concatenate([resid, resid_out])
+        got = anm_delta(fitted, effect, IDENTITY, resid, spec=KernelSpec.gaussian(sigma),
+                        mode="rff", n_rff=n_rff, seed=seed)
+        rmap = rff_map(sigma, n_rff, seed)
+        want = rff_grid_score(effect, fitted, resid, rmap.frequencies[:, 0])
+        assert got == pytest.approx(want, abs=1e-12)
+        for values in (effect, fitted, resid):
+            assert np.linalg.norm(anm._char_mean(rmap, values)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("e, m, r, cap", [(30, 40, 60, 500), (3, 5, 7, 500), (30, 40, 60, 2400)])
+    def test_bandwidth_matches_materialized_union(self, e, m, r, cap):
+        rng = np.random.default_rng(e + m + r)
+        effect = rng.normal(size=e)
+        fitted = rng.normal(size=m)
+        resid = rng.normal(0.0, 0.3, size=r)
+        seed = 12345
+        union = np.concatenate([effect, np.add.outer(fitted, resid).ravel()])
+        sub = union
+        if union.size > cap:
+            rng = np.random.default_rng([seed, 101])
+            sub = union[rng.choice(union.size, size=cap, replace=False)]
+        assert anm._pick_bandwidth(effect, fitted, resid, cap, seed) == median_heuristic(sub)
+
+    def test_all_coincident_is_zero(self):
+        fitted = np.full(50, 0.5)
+        resid = np.full(70, 0.25)
+        effect = np.full(40, 0.75)
+        for mode in ("rff", "exact"):
+            assert anm_delta(fitted, effect, IDENTITY, resid, mode=mode) == 0.0
+        effect[0] = 1.0
+        assert anm_delta(fitted, effect, IDENTITY, resid, mode="rff") > 0.0
+
+    def test_rff_memory_is_linear_in_sample_size(self):
+        # The 3000 x 3000 reconstruction grid alone would take 72 MB.
+        x, y = cubic_pair(12, 3000)
+        f = polyfit(x, y, degree=4)
+        u = y - f.predict(x)
+        tracemalloc.start()
+        try:
+            delta = anm_delta(x, y, f, u, mode="rff")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert 0.0 <= delta < 0.01
 
 
 class TestInferPair:

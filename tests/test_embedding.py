@@ -21,7 +21,7 @@ from kmprop import (
     quad_form,
 )
 from kmprop import embedding
-from kmprop.errors import DimensionMismatch, InputError, KernelMismatch
+from kmprop.errors import DimensionMismatch, InputError, KernelMismatch, NumericalError
 
 from oracles import (
     brute_inner,
@@ -126,6 +126,22 @@ class TestMmd:
         a = WeightedExpansion([[1.0], [1.0]], [0.5, 0.5], G1)
         b = WeightedExpansion([[1.0]], [1.0], G1)
         assert mmd_sq(a, b) == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reordered_large_terms_clamp_to_zero(self, seed):
+        # Each term is about 1e8 here, so the same sample embedded in two
+        # orders cancels to round-off of order 1e-8.
+        x = np.random.default_rng(seed).normal(100.0, 1.0, 300)
+        spec = KernelSpec.polynomial(2)
+        assert mmd_sq(embed_sample(x, spec), embed_sample(x[::-1], spec)) >= 0.0
+
+    def test_non_pd_kernel_still_raises(self):
+        # k(x, y) = xy - 1 is not positive definite: ||2 k(0, .) - k(0, .)||^2 = -1.
+        spec = KernelSpec.polynomial(1, offset=-1.0)
+        a = WeightedExpansion([[0.0]], [2.0], spec)
+        b = WeightedExpansion([[0.0]], [1.0], spec)
+        with pytest.raises(NumericalError):
+            mmd_sq(a, b)
 
     @settings(deadline=None, max_examples=50)
     @given(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,17 @@ def test_validation():
         reduce_random(mu, 3, ridge=-1.0)
     with pytest.raises(InputError):
         reduce_random([1.0, 2.0], 1)
+
+
+def test_large_expansion_never_builds_dense_cross_gram():
+    # A dense 500 x 10^5 K(Z, X) alone would take 400 MB.
+    rng = np.random.default_rng(5)
+    mu = embed_sample(rng.normal(size=100_000), G1)
+    tracemalloc.start()
+    try:
+        res = reduce_random(mu, 500, compute_error=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert res.reduced.size == 500

@@ -192,8 +192,10 @@ def anm_delta(cause, effect, fit: PolyFit, resid, spec: KernelSpec | None = None
     has m * r points for m = len(cause) and r = len(resid). ``spec=None``
     selects a Gaussian bandwidth by the median heuristic over effect and
     reconstruction points jointly (subsampled to ``bandwidth_points``).
-    ``mode='exact'`` builds the m * r grid and evaluates kernel sums
-    pairwise, at O((m * r)^2). ``mode='rff'`` approximates with
+    ``mode='exact'`` builds the m * r grid and takes ``mmd_sq`` of it,
+    which for a Gaussian kernel goes through the spectral backend at
+    O((len(effect) + m * r) * Q) for Q frequency nodes, and costs
+    O((m * r)^2) as tiles otherwise. ``mode='rff'`` approximates with
     ``n_rff`` random Fourier features and never builds the grid: the
     reconstruction's terms are independent, so its feature mean is the
     product of the feature means of the fitted values and of the

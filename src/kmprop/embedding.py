@@ -22,7 +22,7 @@ from .errors import (
     KernelMismatch,
     NumericalError,
 )
-from .kernels import KernelSpec, as_points, quad_form
+from .kernels import KernelSpec, as_points, quad_form, spectral_mmd_sq
 
 # mmd_sq clamps negative round-off to zero when it is within this share
 # of |<a,a>| + 2|<a,b>| + |<b,b>|, the size of the terms it cancels;
@@ -105,11 +105,18 @@ def inner(a: WeightedExpansion, b: WeightedExpansion) -> float:
 def mmd_sq(a: WeightedExpansion, b: WeightedExpansion) -> float:
     """Squared RKHS distance ||a - b||^2.
 
-    Round-off can push the exact-zero case slightly negative, by an
-    amount that grows with the three terms being cancelled. Negative
+    When the kernel planner takes the spectral backend (a Gaussian
+    kernel on 1-D points), this is Σ_q a_q |φ_a(ω_q) - φ_b(ω_q)|^2,
+    nonnegative by construction. Otherwise it is <a,a> - 2<a,b> + <b,b>,
+    where round-off can push the exact-zero case slightly negative, by
+    an amount that grows with the three terms being cancelled. Negative
     values within 1e-10 * (|<a,a>| + 2|<a,b>| + |<b,b>|) are clamped to
     0 and anything lower raises :class:`NumericalError`.
     """
+    _check_compatible(a, b)
+    v = spectral_mmd_sq(a.spec, a.points, a.weights, b.points, b.weights)
+    if v is not None:
+        return v
     aa, ab, bb = inner(a, a), inner(a, b), inner(b, b)
     v = aa - 2.0 * ab + bb
     if v < 0.0:

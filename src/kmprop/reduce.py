@@ -52,8 +52,12 @@ def reduce_random(mu: WeightedExpansion, target: int,
     positive ridge a failed Cholesky factorization falls back to a
     least-squares solve, recorded in the result.
 
-    ``compute_error=False`` skips the O(size^2) evaluation of the
-    achieved error, which dominates the cost when ``mu`` is large.
+    ``compute_error=False`` skips the evaluation of the achieved error.
+    For a Gaussian kernel on 1-D points, ||mu||^2 and the other kernel
+    sums go through the spectral backend of :mod:`kmprop.kernels` at
+    O(size * Q) for Q frequency nodes whenever that is cheaper; any
+    other kernel or dimension pays O(size^2) for ||mu||^2, which then
+    dominates the cost when ``mu`` is large.
     """
     if not isinstance(mu, WeightedExpansion):
         raise InputError(f"mu must be a WeightedExpansion, got {type(mu).__name__}")

@@ -20,6 +20,7 @@ from kmprop import (
     residuals,
     rff_build,
 )
+import kmprop.kernels as kernels
 from kmprop import anm
 from kmprop.anm import decide, forced_decision, pair_seed
 from kmprop.errors import InputError, SingularSystem
@@ -160,6 +161,21 @@ class TestAnmDelta:
         exact = anm_delta(x, y, f, u, mode="exact")
         approx = anm_delta(x, y, f, u, mode="rff", n_rff=2000)
         assert abs(exact - approx) <= 0.02
+
+    def test_exact_mode_at_m300_uses_no_tiles(self, monkeypatch):
+        # The 90 000-point grid's exact score goes through the spectral
+        # mmd_sq; as tiles it would take ~4e9 kernel entries.
+        x, y = cubic_pair(5, 300)
+        f = polyfit(x, y, degree=4)
+        u = y - f.predict(x)
+
+        def no_tiles(*args):
+            raise AssertionError("exact anm_delta evaluated a kernel tile")
+
+        monkeypatch.setattr(kernels, "_kernel_block", no_tiles)
+        exact = anm_delta(x, y, f, u, mode="exact")
+        approx = anm_delta(x, y, f, u, mode="rff", n_rff=2000)
+        assert 0.0 <= exact and abs(exact - approx) <= 0.02
 
     def test_fixed_kernel_and_modes(self):
         x, y = cubic_pair(4, 30)

@@ -1,18 +1,41 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import pdist
 
 import kmprop.kernels as kernels
-from kmprop import KernelSpec, eval_kernel, gram, median_heuristic, quad_form, rff_build, rff_feature_matrix, rff_features
-from kmprop.errors import DimensionMismatch, InputError, NoDistinctPairs
+from kmprop import (KernelSpec, WeightedExpansion, embed_sample, eval_kernel, gram, median_heuristic,
+                    mmd_sq, quad_form, rff_build, rff_feature_matrix, rff_features)
+from kmprop.errors import DegenerateBandwidth, DimensionMismatch, InputError, NoDistinctPairs
 
 from oracles import brute_inner, gauss_k, poly_k
 
 G1 = KernelSpec.gaussian(1.0)
+
+
+@contextmanager
+def backend_calls():
+    """Count tile evaluations and spectral characteristic functions."""
+    calls = {"tiles": 0, "spectral": 0}
+    block, char_fn = kernels._kernel_block, kernels._char_fn
+
+    def counted_block(*args):
+        calls["tiles"] += 1
+        return block(*args)
+
+    def counted_char_fn(*args):
+        calls["spectral"] += 1
+        return char_fn(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_kernel_block", counted_block)
+        mp.setattr(kernels, "_char_fn", counted_char_fn)
+        yield calls
 
 
 class TestEvalKernel:
@@ -128,10 +151,15 @@ class TestQuadForm:
         whole_sym = quad_form(G1, X, wx)
         whole_asym = quad_form(G1, X, wx, Y, wy)
         monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 16)
-        assert quad_form(G1, X, wx) == pytest.approx(whole_sym, rel=1e-12)
-        assert quad_form(G1, X, wx, Y, wy) == pytest.approx(whole_asym, rel=1e-12)
+        with backend_calls() as calls:
+            assert quad_form(G1, X, wx) == pytest.approx(whole_sym, rel=1e-12)
+            assert quad_form(G1, X, wx, Y, wy) == pytest.approx(whole_asym, rel=1e-12)
+        assert calls["spectral"] == 0 and calls["tiles"] > 2
 
-    def test_float32_close_to_float64(self):
+    def test_float32_close_to_float64(self, monkeypatch):
+        # 3000 1-D points would take the spectral backend, which ignores
+        # dtype; keep the comparison on the float32 and float64 tiles.
+        monkeypatch.setattr(kernels, "_plan", lambda *args: None)
         rng = np.random.default_rng(8)
         X = rng.normal(size=3000)
         w = np.full(3000, 1.0 / 3000)
@@ -176,6 +204,69 @@ class TestMedianHeuristic:
             for i in range(25) for j in range(i + 1, 25)
         )
         assert median_heuristic(X) == pytest.approx(float(np.median(dists)), rel=1e-12)
+
+
+def pdist_median(points):
+    """The quadratic median heuristic: every pairwise distance by pdist,
+    zeros dropped, then np.median; an exception class when it fails."""
+    P = np.asarray(points, dtype=np.float64).reshape(-1, 1)
+    d = pdist(P)
+    d = d[d > 0.0]
+    if d.size == 0:
+        return NoDistinctPairs
+    out = float(np.median(d))
+    if not math.isfinite(out) or out <= 0.0:
+        return DegenerateBandwidth
+    return out
+
+
+@pytest.mark.parametrize("direct,sample", [(kernels._MEDIAN_DIRECT, kernels._MEDIAN_SAMPLE), (0, 8)])
+@settings(deadline=None, max_examples=150)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-170, 3e-170, 1e8, 1e8 + 1.0]),
+            st.floats(-1e3, 1e3),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=2, max_size=300,
+    ),
+    offset=st.sampled_from([0.0, 1e8, -3e15]),
+    heavy=st.booleans(),
+)
+@example(values=[1.0, 1.0, 2.0, 2.0], offset=0.0, heavy=False)
+@example(values=[0.0, 1e-170], offset=0.0, heavy=False)
+# 400 gaps of 1 and 400 of 2: the lower middle value ends a run of ties.
+@example(values=[0.0] * 20 + [1.0] * 10 + [2.0] * 20, offset=0.0, heavy=False)
+def test_median_heuristic_1d_bit_identical_to_pdist(direct, sample, values, offset, heavy):
+    # (0, 8) sends even short inputs through the pivoting rounds.
+    x = np.asarray(values) + offset
+    if heavy:
+        x = np.concatenate([x, np.random.default_rng(len(values)).standard_cauchy(200)])
+    if not np.all(np.isfinite(x)):
+        return
+    expected = pdist_median(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_MEDIAN_DIRECT", direct)
+        mp.setattr(kernels, "_MEDIAN_SAMPLE", sample)
+        try:
+            got = median_heuristic(x)
+        except (NoDistinctPairs, DegenerateBandwidth) as e:
+            got = type(e)
+    if isinstance(expected, float):
+        assert isinstance(got, float) and np.float64(got).tobytes() == np.float64(expected).tobytes()
+    else:
+        assert got is expected
+
+
+def test_median_heuristic_1d_subquadratic(monkeypatch):
+    # 20 000 points have 2e8 pairs; the selection must not touch them all.
+    def no_pdist(*args):
+        raise AssertionError("1-D median heuristic called pdist")
+
+    monkeypatch.setattr(kernels, "pdist", no_pdist)
+    x = np.random.default_rng(3).normal(size=20_000)
+    assert 0.5 < median_heuristic(x) < 1.5
 
 
 class TestRff:
@@ -258,3 +349,153 @@ def test_gaussian_symmetric_and_bounded(x, y, sigma):
 )
 def test_gaussian_gram_psd(X, w):
     assert float(w @ gram(G1, X) @ w) >= -1e-8
+
+
+def spectral_tol(wx, wy):
+    return 1e-13 * float(np.abs(wx).sum()) * float(np.abs(wy).sum())
+
+
+def gauss(sigma):
+    return lambda a, b: gauss_k(a, b, sigma)
+
+
+@contextmanager
+def spectral_always():
+    """Make the planner take the spectral backend for every 1-D Gaussian
+    sum, so that small inputs can be checked against the brute oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SPECTRAL_NS", 0.0)
+        mp.setattr(kernels, "_SPECTRAL_CALL_NS", 0.0)
+        yield
+
+
+points_1d = st.one_of(
+    hnp.arrays(np.float64, st.integers(1, 25), elements=st.floats(-10, 10)),
+    # All coincident: R = 0.
+    st.tuples(st.floats(-10, 10), st.integers(1, 25)).map(lambda t: np.full(t[1], t[0])),
+)
+
+
+@st.composite
+def expansions_1d(draw):
+    """Points and signed weights."""
+    X = draw(points_1d)
+    return X, draw(hnp.arrays(np.float64, X.size, elements=st.floats(-2, 2)))
+
+
+SINGLE = (np.array([0.3]), np.array([-1.5]))
+
+
+class TestSpectralBackend:
+    @settings(deadline=None, max_examples=60)
+    @given(a=expansions_1d(), b=expansions_1d(), sigma=st.floats(0.5, 5.0))
+    @example(a=SINGLE, b=(np.array([4.0]), np.array([2.0])), sigma=1.0)
+    def test_quad_form_matches_brute_force(self, a, b, sigma):
+        (X, wx), (Y, wy) = a, b
+        spec = KernelSpec.gaussian(sigma)
+        with spectral_always(), backend_calls() as calls:
+            sym = quad_form(spec, X, wx)
+            cross = quad_form(spec, X, wx, Y, wy)
+            cross32 = quad_form(spec, X, wx, Y, wy, dtype=np.float32)
+        assert calls == {"tiles": 0, "spectral": 5}
+        assert abs(sym - brute_inner(gauss(sigma), X, wx, X, wx)) <= spectral_tol(wx, wx)
+        expected = brute_inner(gauss(sigma), X, wx, Y, wy)
+        assert abs(cross - expected) <= spectral_tol(wx, wy)
+        # dtype governs the tiles only; the spectral sum stays float64.
+        assert cross32 == cross
+
+    @settings(deadline=None, max_examples=40)
+    @given(A=points_1d, b=expansions_1d(), sigma=st.floats(0.5, 5.0))
+    @example(A=np.array([0.0]), b=SINGLE, sigma=1.0)
+    def test_kernel_matvec_matches_brute_force(self, A, b, sigma):
+        B, w = b
+        spec = KernelSpec.gaussian(sigma)
+        with spectral_always(), backend_calls() as calls:
+            got = kernels.kernel_matvec(spec, A.reshape(-1, 1), B.reshape(-1, 1), w)
+        assert calls == {"tiles": 0, "spectral": 1}
+        for a, g in zip(A, got):
+            assert abs(g - brute_inner(gauss(sigma), [a], [1.0], B, w)) <= spectral_tol([1.0], w)
+
+    @settings(deadline=None, max_examples=40)
+    @given(a=expansions_1d(), b=expansions_1d(), sigma=st.floats(0.5, 5.0))
+    @example(a=SINGLE, b=SINGLE, sigma=1.0)
+    def test_mmd_sq_matches_brute_force_and_is_nonnegative(self, a, b, sigma):
+        (X, wx), (Y, wy) = a, b
+        spec = KernelSpec.gaussian(sigma)
+        ea, eb = WeightedExpansion(X, wx, spec), WeightedExpansion(Y, wy, spec)
+        k = gauss(sigma)
+        with spectral_always(), backend_calls() as calls:
+            got = mmd_sq(ea, eb)
+            rev = mmd_sq(ea, WeightedExpansion(X[::-1], wx[::-1], spec))
+        assert calls == {"tiles": 0, "spectral": 4}
+        expected = brute_inner(k, X, wx, X, wx) - 2.0 * brute_inner(k, X, wx, Y, wy) + brute_inner(k, Y, wy, Y, wy)
+        total = float(np.abs(wx).sum() + np.abs(wy).sum())
+        assert got >= 0.0
+        assert abs(got - expected) <= 1e-13 * total * total
+        assert 0.0 <= rev <= spectral_tol(wx, wx)
+
+    def test_planner_takes_spectral_for_large_1d_gaussian_sums(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=250)
+        wx = rng.normal(size=250)
+        with backend_calls() as calls:
+            got = quad_form(G1, X, wx)
+        assert calls == {"tiles": 0, "spectral": 1}
+        assert abs(got - brute_inner(gauss(1.0), X, wx, X, wx)) <= spectral_tol(wx, wx)
+
+    def test_planner_keeps_tiles_elsewhere(self):
+        rng = np.random.default_rng(22)
+        X, w = rng.normal(size=3000), rng.normal(size=3000)
+        cases = [
+            (G1, X[:20], w[:20]),                                   # small input
+            (G1, X.reshape(-1, 2), w[:1500]),                       # d > 1
+            (KernelSpec.linear(), X, w),
+            (KernelSpec.polynomial(2), X, w),
+        ]
+        for spec, P, wp in cases:
+            with backend_calls() as calls:
+                quad_form(spec, P, wp)
+            assert calls["spectral"] == 0 and calls["tiles"] > 0, spec
+
+    def test_outliers_send_the_planner_to_the_tiles(self):
+        # One point 10^5 bandwidths away needs ~1.3e5 nodes.
+        rng = np.random.default_rng(23)
+        X = np.append(rng.normal(size=299), 1e5)
+        Y = rng.normal(size=120)
+        wx, wy = rng.normal(size=300), rng.normal(size=120)
+        with backend_calls() as calls:
+            sym = quad_form(G1, X, wx)
+            cross = quad_form(G1, X, wx, Y, wy)
+            mv = kernels.kernel_matvec(G1, Y.reshape(-1, 1), X.reshape(-1, 1), wx)
+            d = mmd_sq(WeightedExpansion(X, wx, G1), WeightedExpansion(Y, wy, G1))
+        assert calls["spectral"] == 0
+        k = gauss(1.0)
+        assert sym == pytest.approx(brute_inner(k, X, wx, X, wx), rel=1e-10)
+        assert cross == pytest.approx(brute_inner(k, X, wx, Y, wy), rel=1e-10)
+        assert mv[7] == pytest.approx(brute_inner(k, [Y[7]], [1.0], X, wx), rel=1e-10)
+        assert d >= 0.0
+
+    def test_matches_float64_tiles_on_a_product_grid(self, monkeypatch):
+        # Chunked characteristic functions (several chunks here) against
+        # the tiled float64 reference on a heavy-tailed 10^4-point grid.
+        rng = np.random.default_rng(24)
+        X = np.add.outer(rng.normal(3, 0.7, 100), rng.normal(0, 1, 100)).ravel() ** 3
+        w = rng.normal(size=X.size)
+        spec = KernelSpec.gaussian(median_heuristic(X[:2000]))
+        with backend_calls() as calls:
+            got = quad_form(spec, X, w)
+            got_mv = kernels.kernel_matvec(spec, X[:300, None], X[:, None], w)
+        assert calls == {"tiles": 0, "spectral": 2}
+        monkeypatch.setattr(kernels, "_plan", lambda *args: None)
+        tol = spectral_tol(w, w)
+        assert abs(got - quad_form(spec, X, w)) <= tol
+        assert np.max(np.abs(got_mv - kernels.kernel_matvec(spec, X[:300, None], X[:, None], w))) <= tol
+
+    def test_mmd_sq_of_reversed_copy_is_nonnegative(self):
+        # The case that once came out negative in the three-term form.
+        x = np.random.default_rng(2).normal(100.0, 1.0, 3000)
+        spec = KernelSpec.gaussian(median_heuristic(x))
+        with backend_calls() as calls:
+            d = mmd_sq(embed_sample(x, spec), embed_sample(x[::-1], spec))
+        assert calls == {"tiles": 0, "spectral": 2}
+        assert 0.0 <= d <= 1e-13

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kmprop.kernels as kernels
 from kmprop import (
     KernelSpec,
     WeightedExpansion,
@@ -154,3 +155,24 @@ def test_large_expansion_never_builds_dense_cross_gram():
         tracemalloc.stop()
     assert peak < 100e6
     assert res.reduced.size == 500
+
+
+def test_error_check_on_large_1d_gaussian_expansion_is_subquadratic(monkeypatch):
+    # ||mu||^2 over a 90 000-point grid took ~30 s as tiles. Count the
+    # kernel entries the tiles evaluate: only the target x target Gram
+    # of the kept points may remain.
+    rng = np.random.default_rng(6)
+    grid = np.multiply.outer(rng.normal(3, 0.5, 300), rng.normal(4, 0.5, 300)).ravel()
+    mu = embed_sample(grid, KernelSpec.gaussian(1.0))
+    shapes = []
+    block = kernels._kernel_block
+
+    def counted_block(spec, A, B):
+        shapes.append((A.shape[0], B.shape[0]))
+        return block(spec, A, B)
+
+    monkeypatch.setattr(kernels, "_kernel_block", counted_block)
+    res = reduce_random(mu, 200, seed=1, compute_error=True)
+    assert all(rows <= 200 and cols <= 200 for rows, cols in shapes), shapes
+    assert sum(rows * cols for rows, cols in shapes) <= 200 * 200
+    assert res.achieved_error_sq == pytest.approx(mmd_sq(mu, res.reduced), abs=1e-11)

@@ -114,9 +114,9 @@ def mmd_sq(a: WeightedExpansion, b: WeightedExpansion) -> float:
     0 and anything lower raises :class:`NumericalError`.
     """
     _check_compatible(a, b)
-    v = spectral_mmd_sq(a.spec, a.points, a.weights, b.points, b.weights)
+    v = spectral_mmd_sq(a.spec, a.points, a.weights, [(b.points, b.weights)])
     if v is not None:
-        return v
+        return v[0]
     aa, ab, bb = inner(a, a), inner(a, b), inner(b, b)
     v = aa - 2.0 * ab + bb
     if v < 0.0:
@@ -233,12 +233,28 @@ def loads_csv(text: str) -> WeightedExpansion:
         spec = KernelSpec.from_dict(json.loads(lines[0][len("# kernel:"):].strip()))
     except json.JSONDecodeError as e:
         raise InputError(f"invalid kernel header: {e}") from e
-    reader = csv.reader(lines[1:])
-    header = next(reader, None)
-    if header is None or not header or header[0] != "weight":
+    header = next(csv.reader(lines[1:2]), None)
+    if not header or header[0] != "weight":
         raise InputError("expansion CSV needs a 'weight,x0,...' column header")
+    rows = lines[2:]
+    if not any(rows):
+        raise InputError("expansion CSV contains no rows")
+    try:
+        # One C parse of every row, blank lines skipped; it reads every
+        # float that repr wrote bit for bit.
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except ValueError:
+        # loadtxt rejects some numbers float() reads, such as 1_0, and
+        # its errors do not name the file's line: parse row by row.
+        return WeightedExpansion(*_parse_rows(rows), spec)
+    return WeightedExpansion(data[:, 1:], data[:, 0], spec)
+
+
+def _parse_rows(rows: list[str]) -> tuple[list[list[float]], list[float]]:
+    """Points and weights of the CSV rows after the column header, parsed
+    row by row, so that an error names its line."""
     weights, points = [], []
-    for lineno, row in enumerate(reader, start=3):
+    for lineno, row in enumerate(csv.reader(rows), start=3):
         if not row:
             continue
         try:
@@ -248,10 +264,9 @@ def loads_csv(text: str) -> WeightedExpansion:
             raise InputError(f"bad number on line {lineno}: {e}") from e
     if not weights:
         raise InputError("expansion CSV contains no rows")
-    widths = {len(p) for p in points}
-    if len(widths) != 1:
+    if len({len(p) for p in points}) != 1:
         raise InputError("expansion CSV rows have inconsistent dimensions")
-    return WeightedExpansion(points, weights, spec)
+    return points, weights
 
 
 def save(mu: WeightedExpansion, path, fmt: str | None = None) -> None:

@@ -203,8 +203,9 @@ def gram(spec: KernelSpec, X, Y=None) -> np.ndarray:
 # 1e-15. That leaves Q = floor(8 / (σh)) + 1 ≈ 1.27 R/σ + 21 nodes, and
 # a kernel sum over n + m points costs O((n + m) Q) instead of O(n m).
 
-# e^{iωx} is built in blocks of this many nodes: one complex exp per
-# point and block, then products with e^{ihx} inside the block.
+# e^{iωx} is built in blocks of this many nodes: a ladder of steps
+# e^{ijhx}, j < B, and one of block bases e^{iBbhx}, each from one
+# complex exp per point and then products.
 _SPECTRAL_BLOCK = 8
 # Points per chunk of characteristic-function work (further capped at
 # _BLOCK_ELEMS // Q), so its buffers stay far below one kernel tile.
@@ -215,11 +216,15 @@ _SPECTRAL_ROWS = 4096
 # float32 and 3.5-5 ns in float64 in the mat-vec loop (2500 x 10^4 and
 # 200 x 90 000); the symmetric loop's square tiles cost about twice
 # that, so the lower figures make the planner lean towards the tiles.
-# The spectral backend costs 6-9 ns per point and node, plus 30-40 us
-# per call. At 200 x 90 000 with Q = 68 it took 38 ms against 66 ms
-# for float64 tiles. Without the recurrence it would cost about 50 ns
-# per point and node (np.cos alone takes 25 ns per element here, np.exp
-# 1.6 ns), which is why "Q (n + m) < n m" alone is no rule.
+# The spectral backend costs 25-30 us per call and 100-140 ns per point
+# at Q = 26-34, which is 3.4-5.6 ns per point and node; at Q = 72 it is
+# 1.9-2.6 ns. At 200 x 90 000 with Q = 34 the mat-vec takes 9-11 ms
+# against about 63 ms for float64 tiles. Most of the per-point cost is
+# the two complex exps (19 ns each here), which is why
+# "Q (n + m) < n m" alone is no rule. The constants below keep the
+# 8 ns and 40 us measured when each point paid one exp per block of
+# nodes: they err towards the tiles, and they leave the backend, and so
+# the result, of every single kernel sum as it was.
 _TILE_NS = {np.dtype(np.float32): 1.5, np.dtype(np.float64): 3.5}
 _SPECTRAL_NS = 8.0
 _SPECTRAL_CALL_NS = 40_000.0
@@ -269,18 +274,26 @@ def _plan(spec: KernelSpec, point_sets, tile_elems: int, dtype=np.float64) -> _N
 
 def _phases(nodes: _Nodes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e^{iω_q (x - centre)} factored for q = B b + j, B = _SPECTRAL_BLOCK:
-    the block bases e^{i B b step t}, shape (len(x), nb), and the steps
-    e^{i j step t}, shape (len(x), B), for t = x - centre."""
+    the block bases e^{i B b step t}, shape (nb, len(x)), and the steps
+    e^{i j step t}, shape (B, len(x)), for t = x - centre. Each ladder
+    is one complex exp per point and then products, so the phase error
+    grows by about an ulp per rung, B + nb ulps in all."""
     B = _SPECTRAL_BLOCK
-    nb = -(-nodes.weights.size // B)
     t = x - nodes.centre
-    base = np.exp(np.multiply.outer(t, (1j * B * nodes.step) * np.arange(nb)))
-    steps = np.empty((t.size, B), dtype=np.complex128)
-    steps[:, 0] = 1.0
-    steps[:, 1] = np.exp((1j * nodes.step) * t)
-    for j in range(2, B):
-        np.multiply(steps[:, j - 1], steps[:, 1], out=steps[:, j])
+    steps = _ladder(np.exp((1j * nodes.step) * t), B)
+    base = _ladder(np.exp((1j * B * nodes.step) * t), -(-nodes.weights.size // B))
     return base, steps
+
+
+def _ladder(z: np.ndarray, k: int) -> np.ndarray:
+    """Rows z^0, ..., z^(k-1), each the previous row times z."""
+    out = np.empty((k, z.size), dtype=np.complex128)
+    out[0] = 1.0
+    if k > 1:
+        out[1] = z
+    for j in range(2, k):
+        np.multiply(out[j - 1], z, out=out[j])
+    return out
 
 
 def _chunk_rows(nodes: _Nodes) -> int:
@@ -298,8 +311,8 @@ def _char_fn(nodes: _Nodes, P: np.ndarray, w: np.ndarray) -> np.ndarray:
     acc = np.zeros((-(-Q // B), B), dtype=np.complex128)
     for s in range(0, x.size, rows):
         base, steps = _phases(nodes, x[s : s + rows])
-        base *= w[s : s + rows, None]
-        acc += base.T @ steps
+        base *= w[s : s + rows]
+        acc += base @ steps.T
     return acc.reshape(-1)[:Q]
 
 
@@ -314,21 +327,30 @@ def _spectral_matvec(nodes: _Nodes, A: np.ndarray, B: np.ndarray, w: np.ndarray)
     out = np.empty(x.size)
     for s in range(0, x.size, rows):
         base, steps = _phases(nodes, x[s : s + rows])
-        out[s : s + rows] = np.einsum("ij,ij->i", base @ G, steps).real
+        out[s : s + rows] = np.einsum("ji,ji->i", G.T @ base, steps).real
     return out
 
 
 def spectral_mmd_sq(spec: KernelSpec, X: np.ndarray, wx: np.ndarray,
-                    Y: np.ndarray, wy: np.ndarray) -> float | None:
-    """||Σ wx_i k(X_i, .) - Σ wy_j k(Y_j, .)||^2 as Σ_q a_q |φ_x(ω_q) - φ_y(ω_q)|^2,
-    which is nonnegative by construction, when the planner prefers the
-    spectral backend over the three tiled terms; None otherwise."""
-    n, m = X.shape[0], Y.shape[0]
-    nodes = _plan(spec, (X, Y), _tri_elems(n) + n * m + _tri_elems(m))
+                    others) -> list[float] | None:
+    """||Σ wy_j k(Y_j, .) - Σ wx_i k(X_i, .)||^2 for every (Y, wy) in
+    ``others``, each as Σ_q a_q |φ_y(ω_q) - φ_x(ω_q)|^2, which is
+    nonnegative by construction. The nodes are planned once over X and
+    every Y, and φ_x is computed once, so k expansions measured against
+    one reference cost k + 1 transforms. None when the planner prefers
+    the tiles to the spectral backend, pricing the tiles as the three
+    tiled terms of every pair."""
+    n = X.shape[0]
+    tiles = sum(_tri_elems(n) + n * Y.shape[0] + _tri_elems(Y.shape[0]) for Y, _ in others)
+    nodes = _plan(spec, (X, *(Y for Y, _ in others)), tiles)
     if nodes is None:
         return None
-    d = _char_fn(nodes, X, wx) - _char_fn(nodes, Y, wy)
-    return float(nodes.weights @ (d.real ** 2 + d.imag ** 2))
+    ref = _char_fn(nodes, X, wx)
+    out = []
+    for Y, wy in others:
+        d = _char_fn(nodes, Y, wy) - ref
+        out.append(float(nodes.weights @ (d.real ** 2 + d.imag ** 2)))
+    return out
 
 
 def kernel_matvec(spec: KernelSpec, A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -460,17 +482,32 @@ _MEDIAN_SAMPLE = 2048
 _MEDIAN_DIRECT = 1 << 15
 
 
-def _first_above(x, rows, lo, hi, above) -> np.ndarray:
-    """Per entry k, the first j in [lo[k], hi[k]) where
-    ``above(x[j] - x[rows[k]], k)`` holds, else hi[k]; ``above`` must be
-    monotone in j. A vectorized binary search on the computed
-    differences (searching x[rows[k]] + t instead rounds differently)."""
-    lo = lo.copy()
-    hi = hi.copy()
+# The largest double whose square underflows to zero: for d >= 0,
+# d * d > 0 exactly when d > _SQ_ZERO.
+_SQ_ZERO = float.fromhex("0x1.6a09e667f3bccp-538")
+
+
+def _first_above(x, rows, lo, hi, t) -> np.ndarray:
+    """Per lane k, the first j in [lo[k], hi[k]) where the computed
+    difference x[j] - x[rows[k]] exceeds t[k] (or a scalar t), else
+    hi[k]. A searchsorted of x[rows[k]] + t[k] guesses each boundary,
+    but that sum rounds differently from the difference, so a guess
+    stands only where the difference passes at it and fails just
+    before it; the other lanes are binary-searched on the difference."""
+    t = np.broadcast_to(t, rows.shape)
+    xr = x[rows]
+    g = np.clip(np.searchsorted(x, xr + t, side="right"), lo, hi)
+    last = x.size - 1
+    passes = (g == hi) | (x[np.minimum(g, last)] - xr > t)
+    fails_before = (g == lo) | ~(x[np.maximum(g - 1, 0)] - xr > t)
+    # A guess that fails at g moves lo past it; one that passes at
+    # g - 1 caps the answer there.
+    lo = np.where(passes, np.where(fails_before, g, lo), g + 1)
+    hi = np.where(fails_before, np.where(passes, g, hi), g - 1)
     live = np.flatnonzero(lo < hi)
     while live.size:
         mid = (lo[live] + hi[live]) // 2
-        up = above(x[mid] - x[rows[live]], live)
+        up = x[mid] - xr[live] > t[live]
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up] + 1
         live = live[lo[live] < hi[live]]
@@ -497,15 +534,14 @@ def _select_difference(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, r: int) ->
             cols = np.arange(total) - np.repeat(ends - cnt - lo, cnt)
             return float(np.partition(x[cols] - x[own], r)[r])
         u = rng.integers(0, total, _MEDIAN_SAMPLE)
-        row = np.searchsorted(ends, u, side="right")
+        row = ends.searchsorted(u, side="right")
         sample = np.sort(x[u - ends[row] + hi[row]] - x[row])
         f = r * _MEDIAN_SAMPLE / total
         p1 = sample[max(0, int(f - half_width))]
         p2 = sample[min(_MEDIAN_SAMPLE - 1, int(f + half_width))]
         # Per row: the ends of the runs < p1, <= p1, < p2 and <= p2.
         t = np.repeat([np.nextafter(p1, -np.inf), p1, np.nextafter(p2, -np.inf), p2], n)
-        pos = _first_above(x, rows4, np.tile(lo, 4), np.tile(hi, 4),
-                           lambda d, k: d > t[k]).reshape(4, n)
+        pos = _first_above(x, rows4, np.tile(lo, 4), np.tile(hi, 4), t).reshape(4, n)
         below = (pos - lo).sum(axis=1)
         if r < below[0]:
             hi = pos[0]
@@ -530,7 +566,7 @@ def _median_distance_1d(x: np.ndarray) -> float:
     rows = np.arange(n)
     hi = np.full(n, n)
     with np.errstate(over="ignore"):
-        lo = _first_above(x, rows, rows + 1, hi, lambda d, k: d * d > 0.0)
+        lo = _first_above(x, rows, rows + 1, hi, _SQ_ZERO)
         count = int((hi - lo).sum())
         if count == 0:
             raise NoDistinctPairs("all points coincide; no distinct pairs")
@@ -539,7 +575,7 @@ def _median_distance_1d(x: np.ndarray) -> float:
             mid = np.array([_select_difference(x, lo, hi, k)])
         else:
             below = _select_difference(x, lo, hi, k - 1)
-            after = _first_above(x, rows, lo, hi, lambda d, j: d > below)
+            after = _first_above(x, rows, lo, hi, below)
             if int((after - lo).sum()) > k:
                 above = below
             else:

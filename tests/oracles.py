@@ -30,6 +30,13 @@ def brute_inner(kfun, xs, wx, ys, wy) -> float:
     return total
 
 
+def brute_mmd_sq(kfun, xs, wx, ys, wy) -> float:
+    """||sum_i wx_i k(x_i, .) - sum_j wy_j k(y_j, .)||^2 as the three
+    float64 double loops <x,x> - 2<x,y> + <y,y>."""
+    return (brute_inner(kfun, xs, wx, xs, wx) - 2.0 * brute_inner(kfun, xs, wx, ys, wy)
+            + brute_inner(kfun, ys, wy, ys, wy))
+
+
 # --- closed-form Gaussian-kernel integrals for X ~ N(a, s^2) in R^1 ---
 #
 # For the Gaussian kernel with bandwidth sigma:

@@ -253,6 +253,34 @@ class TestSerialization:
         assert np.array_equal(back.weights, mu.weights)
         assert embedding.dumps_csv(back) == text
 
+    def test_csv_round_trip_bitwise_large(self):
+        rng = np.random.default_rng(9)
+        n = 10_000
+        points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        points[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        weights = rng.standard_cauchy(n)
+        mu = WeightedExpansion(points, weights, G1)
+        text = embedding.dumps_csv(mu)
+        lines = text.splitlines()
+        spaced = "\n".join(lines[:2] + [f"{row}\n" for row in lines[2:]])
+        for t in (text, spaced):
+            back = embedding.loads_csv(t)
+            assert back.points.tobytes() == mu.points.tobytes()
+            assert back.weights.tobytes() == mu.weights.tobytes()
+        assert embedding.dumps_csv(back) == text
+
+    def test_csv_bad_number_names_its_line(self):
+        head = '# kernel: {"kernel": "gaussian", "sigma": 1.0}\nweight,x0\n'
+        with pytest.raises(InputError, match="line 5"):
+            embedding.loads_csv(head + "1.0,2.0\n\n0.5,oops\n")
+        with pytest.raises(InputError, match="inconsistent"):
+            embedding.loads_csv(head + "1.0,2.0\n0.5,1.0,3.0\n")
+        with pytest.raises(InputError, match="no rows"):
+            embedding.loads_csv(head + "\n\n")
+        # Whatever float() reads still loads.
+        mu = embedding.loads_csv(head + '"0.5",1_0\n')
+        assert mu.weights.tolist() == [0.5] and mu.points.tolist() == [[10.0]]
+
     def test_csv_header_and_format(self):
         mu = WeightedExpansion([[1.5, -2.0]], [0.25], G1)
         text = embedding.dumps_csv(mu)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kmprop import SynthConfig, ingest_pair_file, run_pairs, run_synth
+import kmprop.experiments as experiments
+import kmprop.kernels as kernels
+from kmprop import KernelSpec, SynthConfig, ingest_pair_file, run_pairs, run_synth
 from kmprop.anm import AnmConfig
 from kmprop.datasets import synthetic_pair_suite, write_pair_dir
 from kmprop.errors import InputError, ParseError, TooFewRows
@@ -11,6 +13,8 @@ from kmprop.experiments import (
     records_to_json,
     summarize_records,
 )
+
+from oracles import brute_mmd_sq, gauss_k
 
 
 TINY = SynthConfig(operation="mul", m_values=(4, 8), repetitions=3,
@@ -108,6 +112,80 @@ class TestRunSynth:
             worst[tag] = max(r.loss for r in recs if r.estimator == "mu2")
         assert worst["stiff"] <= worst["loose"]
         assert worst["stiff"] < 1.0
+
+
+class TestSynthScoring:
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """Every batched scoring call of run_synth: its arguments and result."""
+        calls = []
+        batched = experiments.spectral_mmd_sq
+
+        def spy(spec, X, wx, others):
+            out = batched(spec, X, wx, others)
+            calls.append((spec, X, wx, others, out))
+            return out
+
+        monkeypatch.setattr(experiments, "spectral_mmd_sq", spy)
+        return calls
+
+    @pytest.mark.parametrize("op", ["mul", "div", "pow", "add"])
+    def test_losses_match_float64_brute_force(self, scored, op):
+        config = SynthConfig(operation=op, m_values=(4, 6), repetitions=1,
+                             proxy_size=12, seed=5)
+        records = run_synth(config)
+        assert len(scored) == 2
+        losses = []
+        for spec, X, wx, others, out in scored:
+            # The reference is the uniform 12 x 12 proxy grid.
+            assert X.shape == (144, 1) and np.allclose(wx, 1 / 144, rtol=1e-14, atol=0)
+            assert out is not None and len(out) == len(others) == 3
+            k = lambda a, b: gauss_k(a, b, spec.sigma)
+            for (Y, wy), got in zip(others, out):
+                total = float(np.abs(wy).sum() + np.abs(wx).sum())
+                assert 0.0 <= got
+                assert abs(got - brute_mmd_sq(k, Y, wy, X, wx)) <= 1e-13 * total * total
+            losses += out
+        assert [r.loss for r in records] == losses
+
+    def test_proxy_transformed_once_per_replicate(self, monkeypatch):
+        config = SynthConfig(operation="mul", m_values=(4, 8), repetitions=2,
+                             proxy_size=30, seed=2)
+        sizes = []
+        char_fn = kernels._char_fn
+
+        def spy(nodes, P, w):
+            sizes.append(P.shape[0])
+            return char_fn(nodes, P, w)
+
+        monkeypatch.setattr(kernels, "_char_fn", spy)
+        run_synth(config)
+        # 4 replicates: the 900-point proxy grid once, then mu1, mu2, mu3.
+        assert sizes.count(30 * 30) == 4
+        assert len(sizes) == 4 * 4
+
+    def test_other_kernels_keep_the_three_float32_terms(self, scored, monkeypatch):
+        spec = KernelSpec.polynomial(2)
+        config = SynthConfig(operation="mul", m_values=(4,), repetitions=2,
+                             proxy_size=10, kernel=spec, seed=1)
+        terms = []
+        loss_sq = experiments._loss_sq
+
+        def spy(*args):
+            terms.append(args)
+            return loss_sq(*args)
+
+        monkeypatch.setattr(experiments, "_loss_sq", spy)
+        records = run_synth(config)
+        assert [out for *_, out in scored] == [None, None]
+        assert len(terms) == len(records) == 6
+        for (s, mu, ppts, pw, norm), r in zip(terms, records):
+            assert s == spec
+            assert norm == kernels.quad_form(spec, ppts, pw, dtype=np.float32)
+            v = (kernels.quad_form(spec, mu.points, mu.weights, dtype=np.float32)
+                 - 2.0 * kernels.quad_form(spec, mu.points, mu.weights, ppts, pw, dtype=np.float32)
+                 + norm)
+            assert r.loss == max(v, 0.0)
 
 
 class TestRecordSerialization:

@@ -13,7 +13,7 @@ from kmprop import (KernelSpec, WeightedExpansion, embed_sample, eval_kernel, gr
                     mmd_sq, quad_form, rff_build, rff_feature_matrix, rff_features)
 from kmprop.errors import DegenerateBandwidth, DimensionMismatch, InputError, NoDistinctPairs
 
-from oracles import brute_inner, gauss_k, poly_k
+from oracles import brute_inner, brute_mmd_sq, gauss_k, poly_k
 
 G1 = KernelSpec.gaussian(1.0)
 
@@ -269,6 +269,51 @@ def test_median_heuristic_1d_subquadratic(monkeypatch):
     assert 0.5 < median_heuristic(x) < 1.5
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0]), min_size=2, max_size=200),
+    offset=st.sampled_from([0.0, 1e8, -3e15]),
+    shifts=st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+)
+@example(values=[0.0] * 20 + [1.0] * 10 + [2.0] * 20, offset=0.0, shifts=[1, -1])
+def test_median_heuristic_1d_guess_fallback_bit_identical(values, offset, shifts):
+    # Each searchsorted guess of a boundary is moved by up to 3 places,
+    # so most lanes fail their check and fall back to the binary search
+    # (the pivot sample's row lookup calls the array method instead).
+    # Small integer gaps tie, so pivots land inside runs of equal
+    # differences; (0, 8) forces pivoting rounds even on short inputs.
+    x = np.asarray(values) + offset
+    expected = pdist_median(x)
+    searchsorted = np.searchsorted
+    guesses = []
+
+    def shifted(a, v, side="left"):
+        g = searchsorted(a, v, side=side)
+        guesses.append(g.size)
+        return np.clip(g + np.resize(shifts, g.shape), 0, len(a))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "searchsorted", shifted)
+        mp.setattr(kernels, "_MEDIAN_DIRECT", 0)
+        mp.setattr(kernels, "_MEDIAN_SAMPLE", 8)
+        try:
+            got = median_heuristic(x)
+        except (NoDistinctPairs, DegenerateBandwidth) as e:
+            got = type(e)
+    assert guesses
+    if isinstance(expected, float):
+        assert isinstance(got, float) and np.float64(got).tobytes() == np.float64(expected).tobytes()
+    else:
+        assert got is expected
+
+
+def test_square_underflow_threshold():
+    # The 1-D median drops the pairs pdist drops: those whose square is 0.
+    t = kernels._SQ_ZERO
+    assert t * t == 0.0
+    assert np.nextafter(t, 1.0) ** 2 > 0.0
+
+
 class TestRff:
     def test_frequency_spectrum_variance(self):
         # Frequencies should be N(0, 1/sigma^2): check the sample
@@ -351,8 +396,14 @@ def test_gaussian_gram_psd(X, w):
     assert float(w @ gram(G1, X) @ w) >= -1e-8
 
 
+# Sums that come out below the smallest normal float keep fewer digits,
+# so a relative bound alone would demand exact equality there (weights
+# near 1e-311 once gave a 5e-324 difference against a bound of 0).
+TINY = float(np.finfo(np.float64).tiny)
+
+
 def spectral_tol(wx, wy):
-    return 1e-13 * float(np.abs(wx).sum()) * float(np.abs(wy).sum())
+    return 1e-13 * float(np.abs(wx).sum()) * float(np.abs(wy).sum()) + TINY
 
 
 def gauss(sigma):
@@ -407,6 +458,7 @@ class TestSpectralBackend:
     @settings(deadline=None, max_examples=40)
     @given(A=points_1d, b=expansions_1d(), sigma=st.floats(0.5, 5.0))
     @example(A=np.array([0.0]), b=SINGLE, sigma=1.0)
+    @example(A=np.array([0.0, 1.0]), b=(np.array([0.0]), np.array([2.22507386e-311])), sigma=1.0)
     def test_kernel_matvec_matches_brute_force(self, A, b, sigma):
         B, w = b
         spec = KernelSpec.gaussian(sigma)
@@ -428,11 +480,63 @@ class TestSpectralBackend:
             got = mmd_sq(ea, eb)
             rev = mmd_sq(ea, WeightedExpansion(X[::-1], wx[::-1], spec))
         assert calls == {"tiles": 0, "spectral": 4}
-        expected = brute_inner(k, X, wx, X, wx) - 2.0 * brute_inner(k, X, wx, Y, wy) + brute_inner(k, Y, wy, Y, wy)
+        expected = brute_mmd_sq(k, X, wx, Y, wy)
         total = float(np.abs(wx).sum() + np.abs(wy).sum())
         assert got >= 0.0
-        assert abs(got - expected) <= 1e-13 * total * total
+        assert abs(got - expected) <= 1e-13 * total * total + TINY
         assert 0.0 <= rev <= spectral_tol(wx, wx)
+
+    @settings(deadline=None, max_examples=40)
+    @given(ref=expansions_1d(), others=st.lists(expansions_1d(), min_size=1, max_size=4),
+           sigma=st.floats(0.5, 5.0))
+    @example(ref=SINGLE, others=[SINGLE, (np.array([4.0]), np.array([2.0]))], sigma=1.0)
+    def test_batched_mmd_sq_matches_brute_force(self, ref, others, sigma):
+        X, wx = ref
+        spec = KernelSpec.gaussian(sigma)
+        pairs = [(Y.reshape(-1, 1), wy) for Y, wy in others]
+        with spectral_always(), backend_calls() as calls:
+            got = kernels.spectral_mmd_sq(spec, X.reshape(-1, 1), wx, pairs)
+        # The reference is transformed once, then each other expansion.
+        assert calls == {"tiles": 0, "spectral": len(others) + 1}
+        assert len(got) == len(others)
+        k = gauss(sigma)
+        for (Y, wy), g in zip(others, got):
+            total = float(np.abs(wx).sum() + np.abs(wy).sum())
+            assert g >= 0.0
+            assert abs(g - brute_mmd_sq(k, Y, wy, X, wx)) <= 1e-13 * total * total + TINY
+
+    def test_batched_mmd_sq_plans_over_every_expansion(self):
+        rng = np.random.default_rng(25)
+        X, wx = rng.normal(size=(300, 1)), np.full(300, 1 / 300)
+        others = [(rng.normal(size=(n, 1)), rng.normal(size=n)) for n in (30, 60, 90)]
+        with backend_calls() as calls:
+            got = kernels.spectral_mmd_sq(G1, X, wx, others)
+        assert calls == {"tiles": 0, "spectral": 4}
+        k = gauss(1.0)
+        for (Y, wy), g in zip(others[:1], got):
+            assert abs(g - brute_mmd_sq(k, Y, wy, X[:, 0], wx)) <= 1e-13 * (1 + np.abs(wy).sum()) ** 2
+        # One outlier 10^5 bandwidths out widens the nodes of the whole batch.
+        others.append((np.array([[1e5]]), np.array([1.0])))
+        with backend_calls() as calls:
+            assert kernels.spectral_mmd_sq(G1, X, wx, others) is None
+        assert calls == {"tiles": 0, "spectral": 0}
+
+    def test_phases_match_brute_exponentials_at_many_nodes(self):
+        # The ladders climb B + nb rungs; at Q >= 256 that is 8 + 35.
+        rng = np.random.default_rng(26)
+        x = 1e3 + rng.uniform(-100.0, 100.0, 5000)
+        nodes = kernels._plan(G1, (x[:, None],), 10 ** 15)
+        Q = nodes.weights.size
+        assert Q >= 256
+        brute = np.exp(1j * np.multiply.outer(nodes.step * np.arange(Q), x - nodes.centre))
+        base, steps = kernels._phases(nodes, x)
+        assert base.shape == (-(-Q // kernels._SPECTRAL_BLOCK), x.size)
+        assert steps.shape == (kernels._SPECTRAL_BLOCK, x.size)
+        phases = (base[:, None, :] * steps[None, :, :]).reshape(-1, x.size)[:Q]
+        for w in (np.ones(x.size), rng.normal(size=x.size)):
+            tol = 1e-13 * np.abs(w).sum()
+            assert np.max(np.abs(phases @ w - brute @ w)) <= tol
+            assert np.max(np.abs(kernels._char_fn(nodes, x[:, None], w) - brute @ w)) <= tol
 
     def test_planner_takes_spectral_for_large_1d_gaussian_sums(self):
         rng = np.random.default_rng(21)
